@@ -54,6 +54,17 @@ def _parse_ic(spec: str, p: int, ns: int) -> lt.RingState:
     raise UsageError(f"unknown IC spec {spec!r}")
 
 
+def _thread_count(text: str) -> int:
+    """--threads of table and bifurcate: checked, then unused (both run serially)."""
+    try:
+        count = int(text)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return count
+
+
 def _parse_mu(text: str) -> Fraction:
     # decimal literals become exact rationals: 3.83 -> 383/100
     return Fraction(text)
@@ -102,7 +113,7 @@ def _plain_rule(text: str) -> ru.RuleSpec:
 
 def _cmd_table(args: argparse.Namespace) -> int:
     rule = _plain_rule(args.rule)
-    table = gd.transition_table(rule, args.ns, threads=args.threads)
+    table = gd.transition_table(rule, args.ns)
     doc = {
         "p": rule.p,
         "Ns": args.ns,
@@ -174,7 +185,6 @@ def _cmd_bifurcate(args: argparse.Namespace) -> int:
         args.sample_steps,
         start=gd.encode(_parse_ic(args.ic, args.p, args.ns)).index,
         n_samples=args.samples,
-        threads=args.threads,
     )
     _write(args.out, rm.bifurcation_csv(rows))
     return 0
@@ -215,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tb = sub.add_parser("table", help="global transition table as JSON")
     add_rule_ns(p_tb)
-    p_tb.add_argument("--threads", type=int, default=1)
+    p_tb.add_argument("--threads", type=_thread_count, default=1, help="unused: runs serially")
     p_tb.add_argument("--out", required=True)
     p_tb.set_defaults(fn=_cmd_table)
 
@@ -259,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bf.add_argument("--sample-steps", type=int, default=4096)
     p_bf.add_argument("--samples", type=int, default=8)
     p_bf.add_argument("--ic", default="seed:1")
-    p_bf.add_argument("--threads", type=int, default=1)
+    p_bf.add_argument("--threads", type=_thread_count, default=1, help="unused: runs serially")
     p_bf.add_argument("--out", required=True)
     p_bf.set_defaults(fn=_cmd_bifurcate)
 

@@ -181,24 +181,30 @@ def scan_digit(p: int, i: int, a: int) -> int:
     return out
 
 
+_DIGIT_CHARS = "0123456789abcdefghijklmnopqrstuvwxyz"
+
+
 def digit_string_msd(p: int, a: int, width: int) -> str:
     """Fixed-width base-p numeral, most significant digit first.
 
     Labels like '010' for vertex 2 at p=2, width 3. Digits above 9 use
     lowercase letters.
     """
-    alphabet = "0123456789abcdefghijklmnopqrstuvwxyz"
-    if p > len(alphabet):
+    return format_digit_string_msd(digits_lsd(p, a, width).digits, p)
+
+
+def format_digit_string_msd(digits: tuple[int, ...], p: int) -> str:
+    """Inverse of parse_digit_string_msd; digits above 9 are letters (p <= 36)."""
+    if p > len(_DIGIT_CHARS):
         raise ValueError(f"radix {p} too large for string labels")
-    return "".join(alphabet[d] for d in reversed(digits_lsd(p, a, width).digits))
+    return "".join(_DIGIT_CHARS[d] for d in reversed(digits))
 
 
 def parse_digit_string_msd(s: str, p: int) -> tuple[int, ...]:
     """Parse a most-significant-first numeral into an LSD-first digit tuple."""
-    alphabet = "0123456789abcdefghijklmnopqrstuvwxyz"
     out = []
     for ch in reversed(s):
-        d = alphabet.find(ch.lower())
+        d = _DIGIT_CHARS.find(ch.lower())
         if d < 0 or d >= p:
             raise ValueError(f"character {ch!r} is not a base-{p} digit")
         out.append(d)

@@ -2,23 +2,24 @@
 
 A ring state packs into a single integer I = sum_i p^(i-1) x^i (site 1
 is the least significant digit), equivalently a rational phi = I/p^Ns
-in [0,1). One CA step induces a map on these indices; tabulating it for
-every I gives the global transition table, from which Gardens of Eden
-(states without preimages) and attractor cycles with exact basin sizes
-fall out. For rules whose neighborhood spans the whole ring, the same
-step can be evaluated through rotations of the packed digits alone.
+in [0,1). One CA step induces a map on these indices (_packed_stepper),
+and every whole-ring result reads off it: chi samples, the global
+transition table, Gardens of Eden (states without preimages), attractor
+cycles with exact basin sizes and the shift-group actions. The direct
+digit-extraction step and the whole-ring rotation step stay as
+independent test oracles.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .digits import DigitVector, boxcar, digit_of, digits_lsd, from_digits
 from .errors import GuardExceeded
-from .lattice import RingState, step
-from .rules import RuleSpec, shift_rule
+from .lattice import RingState
+from .rules import AnyRule, RuleSpec, TotalisticRuleSpec, expand_totalistic, shift_rule
 
 TABLE_GUARD = 2**24  # largest state space we will tabulate exhaustively
 GROUP_GUARD = 2**16  # largest state space for the shift-group checks
@@ -55,14 +56,44 @@ def decode(g: GlobalIndex) -> RingState:
     return RingState(g.p, digits_lsd(g.p, g.index, g.ns).digits)
 
 
+def _packed_stepper(rule: AnyRule, ns: int) -> Callable[[int], int]:
+    """The map I -> I' of one CA step on packed ns-site rings.
+
+    I * rep stacks copies of the ring, enough for rings shorter than the
+    neighborhood, so site i's window is (I * rep // p^(c*ns + i-1-r)) % p^rho.
+    """
+    if ns < 1:
+        raise ValueError(f"ring size must be >= 1, got {ns}")
+    p, l, r = rule.p, rule.l, rule.r
+    size = p**ns
+    if size > TABLE_GUARD:
+        raise GuardExceeded(f"state space p^ns = {size} exceeds {TABLE_GUARD}")
+    if isinstance(rule, TotalisticRuleSpec):  # its table is indexed by window sum
+        rule = expand_totalistic(rule)
+    c = -(-r // ns)  # ceil(r/ns) copies below the ring, ceil(l/ns) above
+    rep = sum(p ** (j * ns) for j in range(1 + c - (-l // ns)))
+    q = p**rule.rho
+    sites = [(p ** (c * ns + i - 1 - r), p ** (i - 1)) for i in range(1, ns + 1)]
+    table = rule.table
+
+    def stepper(index: int) -> int:
+        stacked = index * rep
+        return sum(table[stacked // down % q] * up for down, up in sites)
+
+    return stepper
+
+
 def characteristic_value(rule: RuleSpec, g: GlobalIndex, tau: int = 1) -> GlobalIndex:
-    """Image of a packed state after tau CA steps (decode/step/encode)."""
+    """Image of a packed state after tau CA steps."""
     if tau < 1:
         raise ValueError(f"tau must be >= 1, got {tau}")
-    s = decode(g)
+    if rule.p != g.p:
+        raise ValueError(f"alphabet mismatch: state p={g.p}, rule p={rule.p}")
+    stepper = _packed_stepper(rule, g.ns)
+    index = g.index
     for _ in range(tau):
-        s = step(rule, s)
-    return encode(s)
+        index = stepper(index)
+    return GlobalIndex(g.p, g.ns, index)
 
 
 def characteristic_value_direct(rule: RuleSpec, g: GlobalIndex) -> GlobalIndex:
@@ -87,34 +118,24 @@ def characteristic_value_direct(rule: RuleSpec, g: GlobalIndex) -> GlobalIndex:
     return GlobalIndex(p, ns, out)
 
 
-def _check_table_guard(p: int, ns: int) -> int:
-    size = p**ns
-    if size > TABLE_GUARD:
-        raise GuardExceeded(f"state space p^ns = {size} exceeds {TABLE_GUARD}")
-    return size
-
-
 def characteristic_samples(
     rule: RuleSpec, ns: int
 ) -> list[tuple[Fraction, Fraction]]:
     """(phi, chi(phi)) for every state, ascending in phi."""
-    size = _check_table_guard(rule.p, ns)
-    denom = size
-    out = []
-    for index in range(size):
-        image = characteristic_value(rule, GlobalIndex(rule.p, ns, index)).index
-        out.append((Fraction(index, denom), Fraction(image, denom)))
-    return out
+    stepper = _packed_stepper(rule, ns)
+    size = rule.p**ns
+    return [
+        (Fraction(index, size), Fraction(image, size))
+        for index, image in enumerate(map(stepper, range(size)))
+    ]
 
 
 def samples_to_csv(rule: RuleSpec, ns: int) -> str:
     """CSV 'y,chi' with exact unreduced rationals num/p^ns per cell."""
-    size = _check_table_guard(rule.p, ns)
-    lines = ["y,chi"]
-    for index in range(size):
-        image = characteristic_value(rule, GlobalIndex(rule.p, ns, index)).index
-        lines.append(f"{index}/{size},{image}/{size}")
-    return "\n".join(lines) + "\n"
+    stepper = _packed_stepper(rule, ns)
+    size = rule.p**ns
+    rows = (f"{i}/{size},{v}/{size}\n" for i, v in enumerate(map(stepper, range(size))))
+    return "y,chi\n" + "".join(rows)
 
 
 @dataclass(frozen=True)
@@ -134,31 +155,10 @@ class TransitionTable:
                 raise ValueError(f"image entry {v} out of range [0, {size})")
 
 
-def transition_table(rule: RuleSpec, ns: int, threads: int = 1) -> TransitionTable:
-    """Tabulate one CA step over the whole state space.
-
-    threads > 1 partitions the index range; chunks are reassembled in
-    order, so the result is identical for any thread count.
-    """
-    size = _check_table_guard(rule.p, ns)
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-
-    def chunk(bounds: tuple[int, int]) -> list[int]:
-        lo, hi = bounds
-        return [
-            characteristic_value(rule, GlobalIndex(rule.p, ns, i)).index
-            for i in range(lo, hi)
-        ]
-
-    if threads == 1:
-        image = chunk((0, size))
-    else:
-        splits = [(j * size // threads, (j + 1) * size // threads) for j in range(threads)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(chunk, splits))
-        image = [v for part in parts for v in part]
-    return TransitionTable(rule.p, ns, tuple(image))
+def transition_table(rule: RuleSpec, ns: int) -> TransitionTable:
+    """Tabulate one CA step over the whole state space."""
+    stepper = _packed_stepper(rule, ns)
+    return TransitionTable(rule.p, ns, tuple(map(stepper, range(rule.p**ns))))
 
 
 def gardens_of_eden(table: TransitionTable) -> list[int]:
@@ -317,15 +317,7 @@ def shift_group_report(l: int, r: int, p: int, ns: int | None = None) -> GroupRe
         raise GuardExceeded(f"state space p^ns = {size} exceeds {GROUP_GUARD}")
 
     ms = tuple(range(1, rho + 1))
-    states = [RingState(p, digits_lsd(p, i, ring).digits) for i in range(size)]
-
-    def action(m: int) -> tuple[int, ...]:
-        rule = shift_rule(l, r, p, m)
-        return tuple(
-            from_digits(DigitVector(p, step(rule, s).sites)) for s in states
-        )
-
-    perms = {m: action(m) for m in ms}
+    perms = {m: transition_table(shift_rule(l, r, p, m), ring).image for m in ms}
     perm_set = set(perms.values())
     identity_perm = tuple(range(size))
 

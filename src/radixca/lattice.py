@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .digits import digits_lsd, parse_digit_string_msd
+from .digits import digits_lsd, format_digit_string_msd, parse_digit_string_msd
 from .rules import AnyRule, apply_rule, neighborhood_value
 
 
@@ -50,8 +50,8 @@ class RingState:
         return RingState(self.p, tuple(reversed(self.sites)))
 
     def to_string(self) -> str:
-        """Digit string, site N_s leftmost."""
-        return "".join(str(x) for x in reversed(self.sites))
+        """Digit string, site N_s leftmost; digits above 9 are letters (p <= 36)."""
+        return format_digit_string_msd(self.sites, self.p)
 
     @classmethod
     def from_string(cls, text: str, p: int) -> "RingState":
@@ -144,13 +144,10 @@ class SpacetimeRaster:
         return "\n".join(lines) + "\n"
 
     def to_text(self) -> str:
-        """Character art: '.' for 0, the digit character otherwise."""
-        alphabet = ".123456789abcdefghijklmnopqrstuvwxyz"
-        return (
-            "\n".join(
-                "".join(alphabet[x] for x in reversed(row)) for row in self.rows
-            )
-            + "\n"
+        """Character art: '.' for 0, the digit character otherwise (p <= 36)."""
+        return "".join(
+            format_digit_string_msd(row, self.p).replace("0", ".") + "\n"
+            for row in self.rows
         )
 
 

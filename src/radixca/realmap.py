@@ -260,14 +260,12 @@ def bifurcation_scan(
     t_sample: int,
     start: int = 1,
     n_samples: int = 8,
-    threads: int = 1,
 ) -> list[BifurcationRow]:
     """Sweep `count` evenly spaced rational mu values.
 
     Each row: run t_transient steps from `start`, record the next
     n_samples phi values, and report the exact cycle period found within
-    t_sample further steps (0 if none). Rows are independent; threads
-    only partition the grid and never change the output.
+    t_sample further steps (0 if none).
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -297,12 +295,7 @@ def bifurcation_scan(
         report = cycle_detect(stepper, v, t_sample)
         return BifurcationRow(mu, report.period or 0, tuple(phis))
 
-    if threads <= 1:
-        return [row(mu) for mu in grid]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(row, grid))
+    return [row(mu) for mu in grid]
 
 
 def exact_decimal(x: Fraction) -> str:

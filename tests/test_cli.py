@@ -148,6 +148,29 @@ def test_usage_errors_exit_one():
     assert out.returncode == 1  # random IC requires an explicit seed
 
 
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (("charfn", "--rule", "1:1:2:110", "--ns", "-1"), 1),
+        (("table", "--rule", "1:1:2:110", "--ns", "0"), 1),
+        (("bifurcate", "--mu-lo", "1", "--mu-hi", "2", "--count", "2",
+          "--threads", "0"), 1),
+        (("table", "--rule", "1:1:2:110", "--ns", "3", "--threads", "0"), 1),
+        (("table", "--rule", "1:1:2:110", "--ns", "25"), 2),
+        (("evolve", "--rule", "1:1:2:110", "--ns", "8", "--steps", "-1"), 1),
+        (("approx", "--map", "poly", "--coeffs", "0,2", "--p", "2", "--ns", "4",
+          "--steps", "5"), 3),
+    ],
+)
+def test_bad_input_exits_with_one_line_and_no_traceback(tmp_path, args, code):
+    target = tmp_path / "never.out"
+    out = run_cli(*args, "--out", str(target))
+    assert out.returncode == code
+    assert len(out.stderr.splitlines()) == 1, out.stderr
+    assert "Traceback" not in out.stderr
+    assert not target.exists()
+
+
 def test_guard_exits_two_and_leaves_no_file(tmp_path):
     target = tmp_path / "never.json"
     out = run_cli("table", "--rule", "1:1:2:110", "--ns", "25", "--out", str(target))

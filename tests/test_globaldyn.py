@@ -24,8 +24,15 @@ from radixca.globaldyn import (
     shift_group_report,
     transition_table,
 )
-from radixca.lattice import RingState
-from radixca.rules import RuleSpec, identity_rule, rule_from_code, shift_rule
+from radixca.lattice import RingState, step
+from radixca.rules import (
+    RuleSpec,
+    expand_totalistic,
+    identity_rule,
+    rule_from_code,
+    shift_rule,
+    totalistic_from_code,
+)
 
 PUBLISHED_IMAGE_9519_NS3 = (
     0, 7, 4, 21, 19, 19, 12, 13, 13, 11, 15, 13, 5,
@@ -130,14 +137,39 @@ def test_shift_tables_have_rotation_cycle_type():
             assert lengths == rotation_cycle_type(p, ns, m - r - 1)
 
 
-def test_transition_table_thread_partitioning_is_invisible():
-    rule = rule_from_code(0, 1, 3, "9519")
-    assert transition_table(rule, 3, threads=3).image == PUBLISHED_IMAGE_9519_NS3
+@pytest.mark.parametrize("p", (2, 3))
+@pytest.mark.parametrize("l, r", [(l, r) for l in range(3) for r in range(3)])
+def test_transition_table_matches_two_independent_steps(l, r, p):
+    # rings from one site up to one longer than the neighborhood, so that
+    # windows wrapping more than once around short rings are covered
+    rng = random.Random(100 * l + 10 * r + p)
+    rule = random_rule(rng, l, r, p)
+    for ns in range(1, l + r + 3):
+        table = transition_table(rule, ns)
+        for index, image in enumerate(table.image):
+            g = GlobalIndex(p, ns, index)
+            assert image == characteristic_value_direct(rule, g).index
+            assert image == encode(step(rule, decode(g))).index
+
+
+def test_totalistic_rules_tabulate_as_their_expansion():
+    rule = totalistic_from_code(1, 1, 3, "1234")
+    expected = transition_table(expand_totalistic(rule), 4).image
+    assert transition_table(rule, 4).image == expected
+    assert characteristic_value(rule, GlobalIndex(3, 4, 50)).index == expected[50]
 
 
 def test_transition_table_guard():
     with pytest.raises(GuardExceeded):
         transition_table(rule_from_code(1, 1, 2, "110"), 25)
+
+
+@pytest.mark.parametrize("ns", (0, -1))
+def test_whole_ring_results_reject_rings_without_sites(ns):
+    rule = rule_from_code(1, 1, 2, "110")
+    for compute in (transition_table, samples_to_csv, characteristic_samples):
+        with pytest.raises(ValueError, match=f"ring size must be >= 1, got {ns}"):
+            compute(rule, ns)
 
 
 def test_gardens_of_eden_published_set():

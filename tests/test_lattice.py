@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import random_rule, random_state
 from radixca.lattice import (
@@ -138,6 +140,26 @@ def test_ring_state_strings():
         RingState.from_string("261", 3)
 
 
+def test_ring_state_strings_use_letters_above_nine():
+    s = RingState(12, (10, 3))
+    assert s.to_string() == "3a"
+    assert RingState.from_string("3a", 12) == s
+    with pytest.raises(ValueError, match="radix 37"):
+        RingState(37, (36,)).to_string()
+
+
+@st.composite
+def ring_states(draw):
+    p = draw(st.integers(2, 36))
+    sites = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=40))
+    return RingState(p, tuple(sites))
+
+
+@given(ring_states())
+def test_ring_state_string_round_trip(s):
+    assert RingState.from_string(s.to_string(), s.p) == s
+
+
 def test_ring_state_constructors():
     assert RingState.zero(3, 4).sites == (0, 0, 0, 0)
     assert RingState.single_seed(2, 5, 2).sites == (0, 1, 0, 0, 0)
@@ -167,6 +189,9 @@ def test_pgm_output_format():
 def test_text_output_format():
     raster = SpacetimeRaster(3, ((0, 1, 2), (2, 2, 0)))
     assert raster.to_text() == "21.\n.22\n"
+    assert SpacetimeRaster(36, ((35, 0, 10),)).to_text() == "a.z\n"
+    with pytest.raises(ValueError, match="radix 37"):
+        SpacetimeRaster(37, ((36, 0),)).to_text()
 
 
 def test_raster_from_indices():

@@ -278,13 +278,6 @@ def test_bifurcation_scan_guard():
         bifurcation_scan(Fraction(0), Fraction(4), 10_000, 2, 50, 10_000, 10_000)
 
 
-def test_bifurcation_threads_do_not_change_rows():
-    kwargs = dict(p=2, ns=20, t_transient=50, t_sample=200)
-    a = bifurcation_scan(Fraction(1), Fraction(3), 7, **kwargs)
-    b = bifurcation_scan(Fraction(1), Fraction(3), 7, threads=3, **kwargs)
-    assert a == b
-
-
 def test_exact_decimal_rendering():
     assert exact_decimal(Fraction(1, 4)) == "0.25"
     assert exact_decimal(Fraction(3, 1)) == "3"
