@@ -91,6 +91,7 @@ def _ic_from_args(args: argparse.Namespace, p: int, ns: int) -> lt.RingState:
 
 def _cmd_evolve(args: argparse.Namespace) -> int:
     rule = ru.parse_rule(args.rule)
+    lt.check_grid(args.ns, args.steps)  # before the initial ring is built
     s0 = _ic_from_args(args, rule.p, args.ns)
     raster = lt.evolve(rule, s0, args.steps)
     text = raster.to_text() if args.text else raster.to_pgm()

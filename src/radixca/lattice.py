@@ -4,16 +4,25 @@ Sites are numbered 1..N_s with index growing to the left, so the string
 form of a state prints site N_s first (it reads like the base-p numeral
 of the packed state). Any N_s >= 1 is legal, including rings shorter
 than the neighborhood: windows wrap modulo N_s.
+
+step, evolve and neighborhood_sequence share one kernel: a row is held
+as bytes with one 1-, 2- or 4-byte lane per site, all neighborhood
+values of a row come out of one big-integer sum of shifted ring copies,
+and one bytes.translate (or one map over the lanes) looks them up.
 """
 
 from __future__ import annotations
 
 import random
+import struct
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .digits import digits_lsd, format_digit_string_msd, parse_digit_string_msd
-from .rules import AnyRule, apply_rule, neighborhood_value
+from .errors import GuardExceeded
+from .rules import AnyRule, TotalisticRuleSpec
+
+GRID_GUARD = 2**24  # most raster cells (sites x rows) evolve will build
 
 
 @dataclass(frozen=True)
@@ -28,9 +37,10 @@ class RingState:
             raise ValueError(f"alphabet size must be >= 2, got {self.p}")
         if len(self.sites) < 1:
             raise ValueError("a ring needs at least one site")
-        for x in self.sites:
-            if not 0 <= x < self.p:
-                raise ValueError(f"site value {x} out of range for p={self.p}")
+        lo, hi = min(self.sites), max(self.sites)
+        if lo < 0 or hi >= self.p:
+            bad = lo if lo < 0 else hi
+            raise ValueError(f"site value {bad} out of range for p={self.p}")
 
     @property
     def ns(self) -> int:
@@ -80,29 +90,96 @@ class RingState:
         return cls(p, tuple(rng.randrange(p) for _ in range(ns)))
 
 
-def _window(rule: AnyRule, s: RingState, i: int) -> tuple[int, ...]:
-    # (x^{i+l}, ..., x^{i-r}) around 1-based site i, cyclic
-    ns = s.ns
-    return tuple(s.sites[(i - 1 + k) % ns] for k in range(rule.l, -rule.r - 1, -1))
+def _lanes(top: int, ns: int) -> struct.Struct:
+    """Row format of ns little-endian lanes, site 1 lowest, each the
+    narrowest of 1, 2 or 4 bytes that holds 0..top-1."""
+    for code, bits in (("B", 8), ("H", 16), ("I", 32)):
+        if top <= 1 << bits:
+            return struct.Struct(f"<{ns}{code}")
+    raise GuardExceeded(f"lane values up to {top - 1} do not fit in 4 bytes")
+
+
+def _lane_sums(
+    l: int, r: int, base: int, ns: int, lanes: struct.Struct
+) -> Callable[[bytes], bytes]:
+    """Map a packed ns-site row to the lanes sum_k base^(k+r) * x^{i+k}:
+    neighborhood values for base p, window sums for base 1.
+
+    row * reps stacks enough ring copies for rings shorter than the
+    neighborhood; the ns lanes read from lane c*ns + k on are the sites
+    x^{i+k}, i = 1..ns. Each sum stays below the lane's range, so the
+    big-integer sum has no carry between lanes.
+    """
+    c = -(-r // ns)  # ceil(r/ns) copies below the ring, ceil(l/ns) above
+    reps = 1 + c - (-l // ns)
+    width = lanes.size
+    w = width // ns
+    cuts = [(base ** (k + r), w * (c * ns + k)) for k in range(-r, l + 1)]
+
+    def sums(row: bytes) -> bytes:
+        stacked = row * reps
+        total = 0
+        for weight, start in cuts:
+            total += weight * int.from_bytes(stacked[start : start + width], "little")
+        return total.to_bytes(width, "little")
+
+    return sums
+
+
+def _lane_stepper(
+    rule: AnyRule, s: RingState
+) -> tuple[struct.Struct, Callable[[bytes], bytes]]:
+    """Row format and the map row -> next row of packed rings like s.
+
+    A plain rule looks up the neighborhood value sum_k p^{k+r} x^{i+k},
+    a totalistic rule the window sum, so both index their own table.
+    """
+    if s.p != rule.p:
+        raise ValueError(f"alphabet mismatch: state p={s.p}, rule p={rule.p}")
+    table = rule.table
+    lanes = _lanes(len(table), s.ns)
+    base = 1 if isinstance(rule, TotalisticRuleSpec) else rule.p
+    sums = _lane_sums(rule.l, rule.r, base, s.ns, lanes)
+    if lanes.size == s.ns:  # 1-byte lanes
+        lookup = bytes(table).ljust(256, b"\0")
+        return lanes, lambda row: sums(row).translate(lookup)
+    return lanes, lambda row: lanes.pack(
+        *map(table.__getitem__, lanes.unpack(sums(row)))
+    )
 
 
 def step(rule: AnyRule, s: RingState) -> RingState:
     """One synchronous update of every site under the rule."""
-    if s.p != rule.p:
-        raise ValueError(f"alphabet mismatch: state p={s.p}, rule p={rule.p}")
-    return RingState(
-        s.p, tuple(apply_rule(rule, _window(rule, s, i)) for i in range(1, s.ns + 1))
-    )
+    lanes, advance = _lane_stepper(rule, s)
+    return RingState(s.p, lanes.unpack(advance(lanes.pack(*s.sites))))
 
 
 def neighborhood_sequence(l: int, r: int, s: RingState) -> tuple[int, ...]:
     """Neighborhood values n^1..n^Ns of a state for geometry (l, r)."""
-    out = []
-    ns = s.ns
-    for i in range(1, ns + 1):
-        window = tuple(s.sites[(i - 1 + k) % ns] for k in range(l, -r - 1, -1))
-        out.append(neighborhood_value(s.p, window))
-    return tuple(out)
+    lanes = _lanes(s.p ** (l + r + 1), s.ns)
+    sums = _lane_sums(l, r, s.p, s.ns, lanes)
+    return lanes.unpack(sums(lanes.pack(*s.sites)))
+
+
+def check_grid(ns: int, steps: int) -> None:
+    """Refuse a raster of more than GRID_GUARD cells before building any of it."""
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
+    cells = ns * (steps + 1)
+    if cells > GRID_GUARD:
+        raise GuardExceeded(f"raster cells ns*(steps+1) = {cells} exceeds {GRID_GUARD}")
+
+
+class _GrayLevels(dict):
+    """PGM gray text of each cell value, made on first use (p may be large)."""
+
+    def __init__(self, p: int) -> None:
+        super().__init__()
+        self.p = p
+
+    def __missing__(self, x: int) -> str:
+        text = self[x] = str((510 * x + self.p - 1) // (2 * (self.p - 1)))
+        return text
 
 
 @dataclass(frozen=True)
@@ -119,9 +196,10 @@ class SpacetimeRaster:
         for row in self.rows:
             if len(row) != width:
                 raise ValueError("all raster rows must have equal length")
-            for x in row:
-                if not 0 <= x < self.p:
-                    raise ValueError(f"cell value {x} out of range for p={self.p}")
+            lo, hi = min(row, default=0), max(row, default=0)
+            if lo < 0 or hi >= self.p:
+                bad = lo if lo < 0 else hi
+                raise ValueError(f"cell value {bad} out of range for p={self.p}")
 
     @property
     def width(self) -> int:
@@ -137,10 +215,10 @@ class SpacetimeRaster:
         Cell value x maps to gray round(255*x/(p-1)), so 0 is black and
         p-1 is white. Column order follows to_string: site N_s leftmost.
         """
-        div = 2 * (self.p - 1)
+        gray = _GrayLevels(self.p)
         lines = [f"P2\n{self.width} {self.height}\n255"]
         for row in self.rows:
-            lines.append(" ".join(str((510 * x + self.p - 1) // div) for x in reversed(row)))
+            lines.append(" ".join(map(gray.__getitem__, reversed(row))))
         return "\n".join(lines) + "\n"
 
     def to_text(self) -> str:
@@ -153,13 +231,12 @@ class SpacetimeRaster:
 
 def evolve(rule: AnyRule, s0: RingState, steps: int) -> SpacetimeRaster:
     """Iterate the rule `steps` times; the raster has steps+1 rows."""
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
-    rows = [s0.sites]
-    s = s0
+    check_grid(s0.ns, steps)
+    lanes, advance = _lane_stepper(rule, s0)
+    row, rows = lanes.pack(*s0.sites), [s0.sites]
     for _ in range(steps):
-        s = step(rule, s)
-        rows.append(s.sites)
+        row = advance(row)
+        rows.append(lanes.unpack(row))
     return SpacetimeRaster(s0.p, tuple(rows))
 
 

@@ -72,6 +72,18 @@ def identity_map() -> PolynomialMap:
     return PolynomialMap((Fraction(0), Fraction(1)))
 
 
+def _brief(x: Fraction) -> str:
+    """x for messages: exact when short, else marked ~ and rounded, since
+    exact values can run to thousands of digits."""
+    if x.numerator.bit_length() + x.denominator.bit_length() <= 64:
+        return str(x)
+    try:
+        return f"~{float(x)!r}"
+    except OverflowError:
+        sign = "-" if x < 0 else ""
+        return f"~{sign}2^{x.numerator.bit_length() - x.denominator.bit_length()}"
+
+
 def _scaled_floor(m: MapSpec, y: Fraction, scale: int) -> int:
     """floor(scale * chi(y)) with a domain check on chi(y)."""
     if isinstance(m, NumericMap):
@@ -82,7 +94,9 @@ def _scaled_floor(m: MapSpec, y: Fraction, scale: int) -> int:
         return min(math.floor(scale * v), scale)
     v = m.value(y)
     if not 0 <= v <= 1:
-        raise DomainContractError(f"map value {v} escapes [0,1] at y={y}")
+        raise DomainContractError(
+            f"map value {_brief(v)} escapes [0,1] at y={_brief(y)}"
+        )
     return math.floor(scale * v)
 
 

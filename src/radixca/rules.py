@@ -191,13 +191,6 @@ def expand_totalistic(rule: TotalisticRuleSpec) -> RuleSpec:
     return RuleSpec(rule.l, rule.r, rule.p, table)
 
 
-def apply_rule(rule: AnyRule, window: Window) -> int:
-    """Fast-path window evaluation used by the lattice stepper."""
-    if isinstance(rule, TotalisticRuleSpec):
-        return rule.table[sum(window)]
-    return rule.table[neighborhood_value(rule.p, window)]
-
-
 def local_update(rule: RuleSpec, window: Window, path: str = "boxcar") -> int:
     """Evaluate one local update through one of four equivalent forms.
 

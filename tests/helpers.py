@@ -11,7 +11,7 @@ import itertools
 import random
 
 from radixca.lattice import RingState, step
-from radixca.rules import RuleSpec
+from radixca.rules import RuleSpec, TotalisticRuleSpec, local_update, totalistic_update
 
 
 def div_digits(a: int, p: int, count: int) -> tuple[int, ...]:
@@ -30,6 +30,25 @@ def random_rule(rng: random.Random, l: int, r: int, p: int) -> RuleSpec:
 
 def random_state(rng: random.Random, p: int, ns: int) -> RingState:
     return RingState(p, tuple(rng.randrange(p) for _ in range(ns)))
+
+
+def oracle_rows(rule, sites: tuple[int, ...], steps: int) -> list[tuple[int, ...]]:
+    """Rows of a ring run site by site: each window (x^{i+l}, ..., x^{i-r})
+    is gathered by modular indexing and evaluated through the indicator
+    sum of local_update (totalistic rules: totalistic_update)."""
+    ns = len(sites)
+    rows = [tuple(sites)]
+    for _ in range(steps):
+        row = rows[-1]
+        windows = [
+            tuple(row[(i + k) % ns] for k in range(rule.l, -rule.r - 1, -1))
+            for i in range(ns)
+        ]
+        if isinstance(rule, TotalisticRuleSpec):
+            rows.append(tuple(totalistic_update(rule, w) for w in windows))
+        else:
+            rows.append(tuple(local_update(rule, w, "boxcar") for w in windows))
+    return rows
 
 
 def brute_fixed_points(rule: RuleSpec, ns: int) -> list[tuple[int, ...]]:

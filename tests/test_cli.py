@@ -160,6 +160,12 @@ def test_usage_errors_exit_one():
         (("evolve", "--rule", "1:1:2:110", "--ns", "8", "--steps", "-1"), 1),
         (("approx", "--map", "poly", "--coeffs", "0,2", "--p", "2", "--ns", "4",
           "--steps", "5"), 3),
+        # 10^10 raster cells, refused before the ring is built
+        (("evolve", "--rule", "1:1:2:110", "--ns", "100000", "--steps", "100000",
+          "--ic", "random:1"), 2),
+        # exact values at ns=3000 run to thousands of digits
+        (("approx", "--map", "poly", "--coeffs", "0,5", "--ns", "3000", "--steps", "3",
+          "--ic", "random:3"), 3),
     ],
 )
 def test_bad_input_exits_with_one_line_and_no_traceback(tmp_path, args, code):
@@ -167,6 +173,7 @@ def test_bad_input_exits_with_one_line_and_no_traceback(tmp_path, args, code):
     out = run_cli(*args, "--out", str(target))
     assert out.returncode == code
     assert len(out.stderr.splitlines()) == 1, out.stderr
+    assert len(out.stderr) < 200, out.stderr
     assert "Traceback" not in out.stderr
     assert not target.exists()
 

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import random_rule, random_state
 from radixca.digits import digit_string_msd
@@ -294,3 +296,13 @@ def test_transition_table_validation():
         TransitionTable(2, 2, (0, 1, 2, 4))
     # Attractor is a plain record
     assert Attractor((1, 2), 5).basin == 5
+
+
+@given(st.integers(2, 36).flatmap(
+    lambda p: st.lists(st.integers(0, p - 1), min_size=1, max_size=30).map(
+        lambda sites: RingState(p, tuple(sites)))))
+def test_encode_decode_round_trip(s):
+    g = encode(s)
+    assert decode(g) == s
+    assert encode(decode(g)) == g
+    assert g.index == sum(x * s.p**i for i, x in enumerate(s.sites))

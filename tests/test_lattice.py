@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import random_rule, random_state
+from helpers import oracle_rows, random_rule, random_state
+from radixca.errors import GuardExceeded
 from radixca.lattice import (
+    GRID_GUARD,
     RingState,
     SpacetimeRaster,
     evolve,
@@ -15,7 +17,14 @@ from radixca.lattice import (
     raster_from_indices,
     step,
 )
-from radixca.rules import identity_rule, rule_from_code, shift_rule
+from radixca.rules import (
+    TotalisticRuleSpec,
+    identity_rule,
+    neighborhood_value,
+    parse_rule,
+    rule_from_code,
+    shift_rule,
+)
 
 
 def test_step_identity_leaves_states_alone():
@@ -103,6 +112,67 @@ def test_mirrored_shifts_evolve_to_mirrored_rasters():
         right = evolve(shift_rule(l, r, p, rho), s.reflected(), 10)
         for row_l, row_r in zip(left.rows, right.rows):
             assert row_l == tuple(reversed(row_r))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("l, r", [(l, r) for l in range(4) for r in range(4)])
+def test_step_and_evolve_match_the_per_site_oracle(l, r, p):
+    # ns runs from a single site, through rings shorter than the
+    # neighborhood, to rings several neighborhoods long
+    rng = random.Random(100 * l + 10 * r + p)
+    rho = l + r + 1
+    for ns in sorted({1, 2, rho - 1 or 1, rho, rho + 2, 11}):
+        rule = random_rule(rng, l, r, p)
+        s = random_state(rng, p, ns)
+        want = oracle_rows(rule, s.sites, 4)
+        assert evolve(rule, s, 4).rows == tuple(want)
+        assert step(rule, s).sites == want[1]
+
+
+@pytest.mark.parametrize("l, r", [(0, 1), (1, 1), (2, 0), (1, 3)])
+def test_totalistic_rules_match_the_per_site_oracle(l, r):
+    rng = random.Random(7 + l + r)
+    rho = l + r + 1
+    for ns in (1, rho - 1 or 1, rho + 3, 12):
+        table = tuple(rng.randrange(3) for _ in range(2 * rho + 1))
+        rule = TotalisticRuleSpec(l, r, 3, table)
+        s = random_state(rng, 3, ns)
+        want = oracle_rows(rule, s.sites, 5)
+        assert evolve(rule, s, 5).rows == tuple(want)
+        assert step(rule, s).sites == want[1]
+
+
+@pytest.mark.parametrize("l, r, p, ns", [(0, 0, 300, 23), (8, 8, 2, 5), (8, 8, 2, 20)])
+def test_wide_lane_rules_match_the_per_site_oracle(l, r, p, ns):
+    # 300 neighborhood values need 2-byte lanes, 2^17 need 4-byte lanes
+    rng = random.Random(ns)
+    table = ",".join(str(rng.randrange(p)) for _ in range(p ** (l + r + 1)))
+    rule = parse_rule(f"{l}:{r}:{p}:[{table}]")
+    s = random_state(rng, p, ns)
+    want = oracle_rows(rule, s.sites, 2)
+    assert evolve(rule, s, 2).rows == tuple(want)
+    assert step(rule, s).sites == want[1]
+
+
+def test_neighborhood_sequence_matches_modular_windows():
+    rng = random.Random(8)
+    for l, r, p in ((0, 0, 5), (2, 0, 2), (0, 3, 3), (3, 2, 2), (8, 8, 2)):
+        for ns in (1, 3, 19):
+            s = random_state(rng, p, ns)
+            windows = [
+                [s.sites[(i + k) % ns] for k in range(l, -r - 1, -1)] for i in range(ns)
+            ]
+            want = tuple(neighborhood_value(p, w) for w in windows)
+            assert neighborhood_sequence(l, r, s) == want
+
+
+def test_evolve_refuses_rasters_over_the_grid_guard():
+    rule = rule_from_code(1, 1, 2, "110")
+    side = 4096  # 4096 * 4096 = GRID_GUARD cells
+    with pytest.raises(GuardExceeded, match=str(GRID_GUARD)):
+        evolve(rule, RingState.zero(2, side), side)
+    with pytest.raises(ValueError, match="steps must be >= 0"):
+        evolve(rule, RingState.zero(2, side), -1)
 
 
 def test_evolve_row_counts():

@@ -240,6 +240,15 @@ def test_domain_contract_violations():
     overshoot = NumericMap(lambda y: 1.1)
     with pytest.raises(DomainContractError):
         induced_ca_step(overshoot, 2, 4, 3)
+    # short values print exactly, long ones rounded and marked ~
+    message = r"^map value 15/8 escapes \[0,1\] at y=15/16$"
+    with pytest.raises(DomainContractError, match=message):
+        induced_ca_step(doubler, 2, 4, 15)
+    message = r"^map value ~1\.0 escapes \[0,1\] at y=~0\.5$"
+    with pytest.raises(DomainContractError, match=message):
+        induced_ca_step(doubler, 2, 3000, 2**2999 + 1)
+    with pytest.raises(DomainContractError, match=r"^map value ~2\^1328 "):
+        induced_ca_step(PolynomialMap((Fraction(10) ** 400,)), 2, 8, 3)
     # tiny float lint is clamped, not fatal
     nearly_one = NumericMap(lambda y: 1.0 + 1e-12)
     assert induced_ca_step(nearly_one, 2, 4, 3) == 15

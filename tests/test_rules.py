@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import random_rule
 from radixca.digits import digit_of
@@ -218,3 +220,20 @@ def test_parse_and_format_rule():
     for bad in ("1:1:2", "a:1:2:5", "1:1:2:5:6:7:8"):
         with pytest.raises(ValueError):
             parse_rule(bad)
+
+
+@st.composite
+def any_rules(draw):
+    l, r, p = draw(st.integers(0, 1)), draw(st.integers(0, 1)), draw(st.integers(2, 4))
+    kind = draw(st.sampled_from([RuleSpec, TotalisticRuleSpec]))
+    rho = l + r + 1
+    size = p**rho if kind is RuleSpec else rho * (p - 1) + 1
+    table = draw(st.lists(st.integers(0, p - 1), min_size=size, max_size=size))
+    return kind(l, r, p, tuple(table))
+
+
+@given(any_rules())
+def test_format_rule_round_trips_through_parse_rule(rule):
+    text = format_rule(rule)
+    assert parse_rule(text) == rule
+    assert format_rule(parse_rule(text)) == text
